@@ -127,16 +127,21 @@ let flip_symm =
    that are [Loc.Set.equal] can differ in tree shape, so hash the sorted
    element lists, never the trees.  Every probe with a custom
    [equal_state] MUST pair it with one of these — otherwise the
-   explorer degrades to the exact single-bucket fallback (O(n²)); a
-   regression test asserts the catalog carries no such probe. *)
-let hash_set s = Hashtbl.hash (Loc.Set.elements s)
+   explorer degrades to the exact single-bucket fallback (O(n²)).
+   Congruence alone is not enough either: a hash that stops early
+   (plain [Hashtbl.hash] reads 10 words) sends states sharing a prefix
+   to one bucket, which is just as quadratic, so these hash the whole
+   normalised image.  Regression tests assert that every catalog probe
+   has a hash and that no bucket grows past a small bound. *)
+let hash_set s = Probe.structural_hash (Loc.Set.elements s)
 
-let hash_leader_noisy (c, q) = Hashtbl.hash (Loc.Set.elements c, Loc.Map.bindings q)
+let hash_leader_noisy (c, q) =
+  Probe.structural_hash (Loc.Set.elements c, Loc.Map.bindings q)
 
-let hash_flip_flop (c, toggle) = Hashtbl.hash (Loc.Set.elements c, toggle)
+let hash_flip_flop (c, toggle) = Probe.structural_hash (Loc.Set.elements c, toggle)
 
 let hash_set_noisy (c, q) =
-  Hashtbl.hash
+  Probe.structural_hash
     ( Loc.Set.elements c,
       List.map (fun (k, v) -> (k, List.map Loc.Set.elements v)) (Loc.Map.bindings q) )
 

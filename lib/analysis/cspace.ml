@@ -308,10 +308,9 @@ let canon_of names =
    would store. *)
 let machine_of_automaton (type s a) (aut : (s, a) Automaton.t)
     (probe : (s, a) Probe.t) : (s, a) machine =
-  let hash =
-    match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0
+  let inter =
+    Pack.interner ~hash:(Probe.seen_hash probe) ~equal:probe.Probe.equal_state ()
   in
-  let inter = Pack.interner ~hash ~equal:probe.Probe.equal_state () in
   let tasks = Array.of_list aut.Automaton.tasks in
   let ntasks = Array.length tasks in
   let task_names = Array.map (fun tk -> tk.Automaton.task_name) tasks in
@@ -410,7 +409,7 @@ let backend_of_composition (type a) (comp : a Composition.t)
         Pack.interner ~hash:Component.state_hash ~equal:Component.equal_state ())
       comps
   in
-  let acts = Pack.interner ~equal:Pack.total_equal () in
+  let acts = Pack.interner ~hash:Probe.structural_hash ~equal:Probe.structural () in
   let probe_ids =
     Array.of_list (List.map (Pack.intern acts) probe.Probe.actions)
   in

@@ -48,7 +48,7 @@ type 's state_symmetry = {
 let sym_set =
   { ss_perm = (fun pif s -> Loc.Set.map pif s);
     ss_cmp = Loc.Set.compare;
-    ss_hash = (fun s -> Hashtbl.hash (Loc.Set.elements s));
+    ss_hash = (fun s -> Probe.structural_hash (Loc.Set.elements s));
   }
 
 let sym_pair a b =
@@ -66,7 +66,7 @@ let sym_pair a b =
 let sym_rigid =
   { ss_perm = (fun _ x -> x);
     ss_cmp = Stdlib.compare;
-    ss_hash = Hashtbl.hash;
+    ss_hash = Probe.structural_hash;
   }
 
 type 'o outcome = {

@@ -19,11 +19,6 @@
    back to back, so membership is one hash, one probe sequence and a
    [width]-byte memcmp — O(1) in the number of states. *)
 
-(* Structural equality that never raises: values containing abstract
-   blocks compare unequal, which only duplicates ids, never confuses
-   distinct values (same contract as [Probe.structural]). *)
-let total_equal a b = try Stdlib.compare a b = 0 with Invalid_argument _ -> false
-
 type 'v interner = {
   ihash : 'v -> int;
   iequal : 'v -> 'v -> bool;
@@ -35,7 +30,7 @@ type 'v interner = {
   mutable iconflicts : int;
 }
 
-let interner ?(hash = Hashtbl.hash) ~equal () =
+let interner ~hash ~equal () =
   { ihash = hash;
     iequal = equal;
     islots = Array.make 16 0;

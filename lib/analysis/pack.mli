@@ -5,10 +5,6 @@
     wrong merge — the invariant that keeps the compiled explorer
     structurally identical to the boxed one. *)
 
-(** Structural equality that never raises: values containing abstract
-    blocks (closures) compare unequal — duplicate ids, never confusion. *)
-val total_equal : 'v -> 'v -> bool
-
 (** {1 Value interner}
 
     Canonicalizes boxed values into dense ids [0..size-1].  Id equality
@@ -17,7 +13,7 @@ val total_equal : 'v -> 'v -> bool
 
 type 'v interner
 
-val interner : ?hash:('v -> int) -> equal:('v -> 'v -> bool) -> unit -> 'v interner
+val interner : hash:('v -> int) -> equal:('v -> 'v -> bool) -> unit -> 'v interner
 
 (** Find-or-add; returns the canonical id. *)
 val intern : 'v interner -> 'v -> int

@@ -41,18 +41,37 @@ type ('s, 'a) t = {
    reachable-state sample larger, never wrong. *)
 let structural a b = try Stdlib.compare a b = 0 with Invalid_argument _ -> false
 
+(* The hash paired with [structural].  [Hashtbl.hash] stops after 10
+   meaningful words, so states that agree on their first few fields —
+   a process record led by its constant id, universe size and flags —
+   all land in a handful of buckets and every seen-set lookup scans one
+   of them linearly.  256 is the runtime's cap on both the meaningful
+   values and the blocks one hash visits; at that depth each 4 000-state
+   catalog exploration gets 4 000 distinct hashes, where shallower
+   settings still collide on [kset_p0] (EXPERIMENTS.md, "SH").  It stays a
+   congruence for [structural]: the same polymorphic hash (±0.0 and NaN
+   normalised alike), only deeper. *)
+let structural_hash x = Hashtbl.hash_param 256 256 x
+
+let seen_hash probe =
+  match probe.hash_state with Some h -> h | None -> fun _ -> 0
+
 let make ?(seed_states = []) ?(equal_action = structural) ?equal_state ?hash_state
     ?(pp_action = Fmt.any "<action>") ?(max_states = 96) ?rename_roundtrip ?base_kind
     ?symm actions =
   (* A hash is only safe when it is a congruence for the state equality:
-     with the default structural equality, [Hashtbl.hash] qualifies; a
+     with the default structural equality, [structural_hash] qualifies; a
      caller-supplied equality (e.g. [Loc.Set.equal], blind to tree
      shape) needs a matching caller-supplied hash, otherwise the
-     explorer falls back to a single bucket (exact, just slower). *)
+     explorer falls back to a single bucket (exact, just slower).  A
+     congruent hash is not enough on its own: it must also see deep
+     enough into the state to tell reachable states apart, or the
+     buckets grow with the state space and lookups go quadratic all
+     the same. *)
   let hash_state =
     match (hash_state, equal_state) with
     | (Some _ as h), _ -> h
-    | None, None -> Some Hashtbl.hash
+    | None, None -> Some structural_hash
     | None, Some _ -> None
   in
   let equal_state = Option.value ~default:structural equal_state in

@@ -69,6 +69,24 @@ type ('s, 'a) t = {
           unreduced. *)
 }
 
+val structural : 'a -> 'a -> bool
+(** Polymorphic structural equality that never raises: values holding
+    closures compare unequal.  The default [equal_state] and
+    [equal_action] of {!make}. *)
+
+val structural_hash : 'a -> int
+(** The hash paired with {!structural}: the polymorphic hash taken over
+    the whole value, up to the runtime's cap of 256 meaningful words
+    and 256 visited blocks, rather than [Hashtbl.hash]'s first 10
+    meaningful words.  Congruent with {!structural} (structurally equal
+    values hash equal; ±0.0 and NaN are normalised as by
+    [Hashtbl.hash]).  The default [hash_state] of {!make}. *)
+
+val seen_hash : ('s, 'a) t -> 's -> int
+(** The hash an explorer's seen-set keys on: the probe's [hash_state],
+    or a constant when it is [None] — a single bucket, scanned with
+    [equal_state] (exact, quadratic). *)
+
 val make :
   ?seed_states:'s list ->
   ?equal_action:('a -> 'a -> bool) ->
@@ -86,8 +104,10 @@ val make :
     exploration more conservative), a ["<action>"] printer, and a
     96-state exploration cap.
 
-    [hash_state] defaults to [Hashtbl.hash] when [equal_state] is left
-    structural (the two are congruent), and to [None] when a custom
-    [equal_state] is supplied without a matching hash — supply both to
-    keep the hashed seen-set fast on semantic equalities such as
-    [Loc.Set.equal]. *)
+    [hash_state] defaults to {!structural_hash} when [equal_state] is
+    left structural (the two are congruent), and to [None] when a
+    custom [equal_state] is supplied without a matching hash — supply
+    both to keep the hashed seen-set fast on semantic equalities such
+    as [Loc.Set.equal].  A supplied hash must also look at the whole
+    state: one that stops early gives states sharing a prefix one
+    bucket, and lookups go quadratic just as without a hash. *)

@@ -56,7 +56,7 @@ let explore_pool ?(por = false) ?symmetry ?profile ?merge_stats pool aut probe =
     | Some canon -> Space.quotient canon aut probe
   in
   let max_states = probe.Probe.max_states in
-  let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
+  let hash = Probe.seen_hash probe in
   let equal = probe.Probe.equal_state in
   let probe_acts = Array.of_list probe.Probe.actions in
   (* Mirror of Space.explore's growable bookkeeping, indexed by

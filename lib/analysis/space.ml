@@ -71,7 +71,7 @@ let rec explore ?(por = false) ?symmetry aut probe =
 
 and explore_raw ~por aut probe =
   let max_states = probe.Probe.max_states in
-  let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
+  let hash = Probe.seen_hash probe in
   let equal = probe.Probe.equal_state in
   (* Parallel growable arrays indexed by discovery order. *)
   let states = ref [||] and n = ref 0 in

@@ -417,9 +417,7 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
         try
           check_global ();
           let mirrors = mirrors () in
-          let hash =
-            match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0
-          in
+          let hash = Probe.seen_hash probe in
           let seen : (int, 's list) Hashtbl.t = Hashtbl.create 256 in
           let count = ref 0 in
           let mem s =

@@ -150,6 +150,89 @@ let test_catalog_probes_hashed () =
       | Registry.Spec _ -> ())
     (Catalog.items ())
 
+(* Having a hash is not enough: one that stops early (plain
+   [Hashtbl.hash] reads 10 words) sends every state sharing a long
+   prefix to one bucket, and the seen-set goes quadratic anyway.
+   Explore every catalog subject the way the lint does, at a budget
+   where the large ones fill it, and bound the largest bucket. *)
+let max_bucket = 16
+
+let test_catalog_buckets_bounded () =
+  let oversized =
+    List.filter_map
+      (fun { Registry.origin; entry } ->
+        match (Subject.make ~max_states:4000 ~origin entry).Subject.packed with
+        | None -> None
+        | Some (Subject.P { aut; probe; space; _ }) ->
+          let hash = Probe.seen_hash probe in
+          let sizes = Hashtbl.create 64 in
+          Array.iter
+            (fun s ->
+              let h = hash s in
+              Hashtbl.replace sizes h
+                (1 + Option.value ~default:0 (Hashtbl.find_opt sizes h)))
+            (Lazy.force space).Space.states;
+          let largest = Hashtbl.fold (fun _ c m -> max c m) sizes 0 in
+          if largest > max_bucket then
+            Some (Printf.sprintf "%s(%s): %d" aut.Automaton.name origin largest)
+          else None)
+      (Catalog.items ())
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "subjects with a seen-set bucket over %d states" max_bucket)
+    [] oversized
+
+(* [Probe.structural_hash] is a congruence for [Probe.structural]:
+   rebuild a random value cell by cell (no sharing with the original),
+   swapping each float for an equal-under-compare twin (±0.0, another
+   NaN payload), and the hash must not move. *)
+type tree = Int of int | Flt of float | Str of string | Node of tree list
+
+let rec rebuild = function
+  | Int i -> Int i
+  | Flt f when Float.is_nan f -> Flt (Int64.float_of_bits 0x7FF8_0000_0000_0F00L)
+  | Flt f when f = 0.0 -> Flt (if 1.0 /. f > 0.0 then -0.0 else 0.0)
+  | Flt f -> Flt (Float.of_string (Float.to_string f))
+  | Str s -> Str (String.init (String.length s) (String.get s))
+  | Node l -> Node (List.map rebuild l)
+
+let tree_gen =
+  QCheck2.Gen.(
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ map (fun i -> Int i) small_signed_int;
+                 map (fun f -> Flt f) (oneofl [ 0.0; -0.0; Float.nan; 1.5; -2.25 ]);
+                 map (fun s -> Str s) (string_size ~gen:printable (int_bound 4));
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [ (1, leaf); (3, map (fun l -> Node l) (list_size (int_bound 5) (self (n - 1)))) ]))
+
+let structural_hash_congruent_prop =
+  QCheck2.Test.make ~count:300 ~name:"structural_hash: structurally equal values hash equal"
+    tree_gen (fun t ->
+      let t' = rebuild t in
+      Probe.structural t t' && Probe.structural_hash t = Probe.structural_hash t')
+
+(* A flat state of [k >= 10] leading fields and one trailing field: the
+   10-word default never reaches the trailing field, the named hash
+   must. *)
+let structural_hash_deep_prop =
+  let gen =
+    QCheck2.Gen.(
+      triple (array_size (int_range 10 200) small_signed_int) small_signed_int small_signed_int)
+  in
+  QCheck2.Test.make ~count:300 ~name:"structural_hash: a field past the 10th word counts" gen
+    (fun (prefix, x, y) ->
+      QCheck2.assume (x <> y);
+      let a = Array.append prefix [| x |] and b = Array.append prefix [| y |] in
+      Hashtbl.hash a = Hashtbl.hash b
+      && Probe.structural_hash a <> Probe.structural_hash b)
+
 (* --- lasso refutations, directly through Mc --- *)
 
 let test_refutation_kinds () =
@@ -240,6 +323,10 @@ let suite =
       test_race_pair_dedup;
     Alcotest.test_case "catalog probes: no single-bucket fallback" `Quick
       test_catalog_probes_hashed;
+    Alcotest.test_case "catalog probes: no seen-set bucket over 16 states" `Quick
+      test_catalog_buckets_bounded;
+    QCheck_alcotest.to_alcotest structural_hash_congruent_prop;
+    QCheck_alcotest.to_alcotest structural_hash_deep_prop;
     Alcotest.test_case "Mc refutes flipflop with a cycle, silent with a stop" `Quick
       test_refutation_kinds;
     QCheck_alcotest.to_alcotest lasso_replay_prop;
