@@ -8,11 +8,21 @@
 
 type bucket = { mutable data : int array; mutable len : int; mutable cur : int }
 
+(* A drained bucket hands its array to a pool of at most [max_spares]
+   spares and keeps [[||]]; the next bucket to fill takes the most
+   recently drained spare before allocating.  So the arrays retained
+   are those of the buckets currently nonempty plus a few spares,
+   however far virtual time has advanced, and a bucket refilled at the
+   same load allocates nothing. *)
+let max_spares = 4
+
 type t = {
   wsize : int;
   wmask : int;
   buckets : bucket array;
   occ : Bytes.t;  (* occupancy per bucket, for the advance scan *)
+  spares : int array array;
+  mutable nspares : int;
   mutable wcount : int;  (* nonempty buckets *)
   mutable now : int;
   mutable pending : int;
@@ -42,6 +52,8 @@ let create ?(wheel_bits = 12) () =
     wmask = wsize - 1;
     buckets = Array.init wsize (fun _ -> { data = [||]; len = 0; cur = 0 });
     occ = Bytes.make wsize '\000';
+    spares = Array.make max_spares [||];
+    nspares = 0;
     wcount = 0;
     now = 0;
     pending = 0;
@@ -69,9 +81,20 @@ let ev_b t = t.eb
 let ev_c t = t.ec
 let ev_d t = t.ed
 
+let retained_words t =
+  let n = ref (7 * Array.length t.ht) in
+  Array.iter (fun bk -> n := !n + Array.length bk.data) t.buckets;
+  Array.iter (fun d -> n := !n + Array.length d) t.spares;
+  !n
+
 let wheel_insert t at k a b c d =
   let i = at land t.wmask in
   let bk = t.buckets.(i) in
+  if bk.len = 0 && t.nspares > 0 then begin
+    t.nspares <- t.nspares - 1;
+    bk.data <- t.spares.(t.nspares);
+    t.spares.(t.nspares) <- [||]
+  end;
   let cap = Array.length bk.data in
   if bk.len + 5 > cap then begin
     let d' = Array.make (max 20 (2 * cap)) 0 in
@@ -176,6 +199,11 @@ let reset_bucket t i =
     Bytes.unsafe_set t.occ i '\000';
     t.wcount <- t.wcount - 1
   end;
+  if t.nspares < max_spares then begin
+    t.spares.(t.nspares) <- bk.data;
+    t.nspares <- t.nspares + 1
+  end;
+  bk.data <- [||];
   bk.len <- 0;
   bk.cur <- 0
 

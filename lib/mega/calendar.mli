@@ -11,8 +11,12 @@
     direct insert into that bucket epoch can occur, and within each
     path entries are kept in sequence order.
 
-    [pop]/[schedule] are allocation-free after warm-up (buckets, heap
-    and the popped-event fields are reused), which is what keeps the
+    A drained bucket's array goes to a small pool of spares and the
+    next bucket to fill takes one before allocating, so the storage
+    retained follows the buckets still pending, not how far virtual
+    time has advanced.  [pop]/[schedule] allocate only when a bucket
+    outgrows the spare it took, or when no spare is left (the heap and
+    the popped-event fields are reused too), which is what keeps the
     engine at millions of events per second. *)
 
 type t
@@ -36,6 +40,10 @@ val pop : t -> bool
 (** Advance to and consume the earliest pending event; [false] when
     the calendar is empty.  After [pop t = true] the event is exposed
     by {!ev_kind} .. {!ev_d} until the next [pop]. *)
+
+val retained_words : t -> int
+(** Words of event storage the calendar holds: bucket arrays, spare
+    arrays and the overflow heap. *)
 
 val ev_kind : t -> int
 val ev_a : t -> int

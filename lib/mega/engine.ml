@@ -82,8 +82,34 @@ let run c =
   let first_detect = Array.make cap (-1) in
   let lat = Stats.series () in
   let fs_dur = Stats.series () in
-  (* open false suspicions: (observer * cap + target) -> start time *)
+  (* open false suspicions: (observer * cap + target) -> start time,
+     and each key again under its observer and its target, so a crash
+     visits only the keys that involve the crashed process *)
   let fs_open : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let fs_by : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+  let fs_index p key =
+    let keys =
+      match Hashtbl.find_opt fs_by p with
+      | Some keys -> keys
+      | None ->
+        let keys = Hashtbl.create 4 in
+        Hashtbl.add fs_by p keys;
+        keys
+    in
+    Hashtbl.replace keys key ()
+  in
+  let fs_unindex p key =
+    match Hashtbl.find_opt fs_by p with
+    | Some keys ->
+      Hashtbl.remove keys key;
+      if Hashtbl.length keys = 0 then Hashtbl.remove fs_by p
+    | None -> ()
+  in
+  let fs_close key =
+    Hashtbl.remove fs_open key;
+    fs_unindex (key / cap) key;
+    fs_unindex (key mod cap) key
+  in
   let links = Array.make max_links 0 in
   let llen = ref 0 in
   let part = ref (-1) in
@@ -128,7 +154,11 @@ let run c =
       if Univ.is_live univ target then begin
         incr false_suspicions;
         let key = (observer * cap) + target in
-        if not (Hashtbl.mem fs_open key) then Hashtbl.add fs_open key now
+        if not (Hashtbl.mem fs_open key) then begin
+          Hashtbl.add fs_open key now;
+          fs_index observer key;
+          fs_index target key
+        end
       end
       else if first_detect.(target) < 0 && crash_time.(target) >= 0 then begin
         first_detect.(target) <- now;
@@ -141,7 +171,7 @@ let run c =
       match Hashtbl.find_opt fs_open key with
       | Some start ->
         Stats.add fs_dur (now - start);
-        Hashtbl.remove fs_open key
+        fs_close key
       | None -> ()
     end
   in
@@ -160,10 +190,11 @@ let run c =
   (* false-suspicion records involving a process that just died are
      void: the suspicion is no longer false *)
   let purge_fs p =
-    Hashtbl.filter_map_inplace
-      (fun key start ->
-        if key / cap = p || key mod cap = p then None else Some start)
-      fs_open
+    match Hashtbl.find_opt fs_by p with
+    | Some keys ->
+      Hashtbl.remove fs_by p;
+      Hashtbl.iter (fun key () -> fs_close key) keys
+    | None -> ()
   in
   let stop p =
     epoch.(p) <- epoch.(p) + 1;

@@ -6,8 +6,9 @@ let left = 3
 
 type t = {
   ucap : int;
+  n0 : int;
   statuses : Bytes.t;
-  ids : int Pack.interner;
+  joiners : int Pack.interner;  (* joiner k has dense id n0 + k *)
   ext : int array;
   mutable n : int;
   mutable nlive : int;
@@ -15,24 +16,16 @@ type t = {
 
 let create ~cap ~n =
   if n < 1 || n > cap then invalid_arg "Univ.create: need 1 <= n <= cap";
-  let t =
-    { ucap = cap;
-      statuses = Bytes.make cap '\000';
-      ids = Pack.interner ~hash:(fun (x : int) -> x * 0x9e3779b1) ~equal:Int.equal ();
-      ext = Array.make cap (-1);
-      n = 0;
-      nlive = 0;
-    }
-  in
-  for i = 0 to n - 1 do
-    let id = Pack.intern t.ids i in
-    assert (id = i);
-    t.ext.(i) <- i;
-    Bytes.unsafe_set t.statuses i (Char.chr live)
-  done;
-  t.n <- n;
-  t.nlive <- n;
-  t
+  let statuses = Bytes.make cap '\000' in
+  Bytes.fill statuses 0 n (Char.chr live);
+  { ucap = cap;
+    n0 = n;
+    statuses;
+    joiners = Pack.interner ~hash:(fun (x : int) -> x * 0x9e3779b1) ~equal:Int.equal ();
+    ext = Array.init cap (fun i -> if i < n then i else -1);
+    n;
+    nlive = n;
+  }
 
 let cap t = t.ucap
 let count t = t.n
@@ -47,9 +40,10 @@ let set_status t i s =
   Bytes.unsafe_set t.statuses i (Char.chr s)
 
 let join t ~ext =
-  if t.n >= t.ucap then None
+  (* an initial process's external id is its dense id *)
+  if t.n >= t.ucap || (ext >= 0 && ext < t.n0) then None
   else begin
-    let id = Pack.intern t.ids ext in
+    let id = t.n0 + Pack.intern t.joiners ext in
     if id <> t.n then None (* external id already interned *)
     else begin
       t.ext.(id) <- ext;

@@ -1,10 +1,11 @@
 (** The process universe: dense interned ids, flat status bytes.
 
     External process identities (arbitrary ints — initial members are
-    [0..n-1], joiners get fresh large ids) are interned to dense ids
-    [0..count-1] through a {!Afd_analysis.Pack.interner}, so every
-    per-process table in the engine and the detectors is a flat array
-    indexed by dense id.  Statuses are one byte per process; nothing
+    [0..n-1], joiners get fresh large ids) map to dense ids
+    [0..count-1]: an initial member's dense id is its external id, and
+    joiners are interned after them through a
+    {!Afd_analysis.Pack.interner}, so every per-process table in the
+    engine and the detectors is a flat array indexed by dense id.  Statuses are one byte per process; nothing
     here is O(universe) per event. *)
 
 type t
@@ -35,7 +36,8 @@ val set_status : t -> int -> int -> unit
 
 val join : t -> ext:int -> int option
 (** Intern a fresh external id as a new live process; [None] when the
-    capacity is exhausted or the external id is already present. *)
+    capacity is exhausted or the external id is already present (an
+    initial member's or an earlier joiner's). *)
 
 val ext_id : t -> int -> int
 (** External identity of a dense id. *)

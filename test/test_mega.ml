@@ -57,6 +57,73 @@ let calendar_immediate () =
   sched 3 3;
   Alcotest.(check (list (pair int int))) "clamped to now" [ (7, 2); (7, 3) ] (pop_all cal)
 
+(* Random schedule/pop interleavings on a small wheel (4 to 16 slots),
+   so runs wrap the wheel, drain the overflow heap and refill buckets
+   from spare arrays; the pop order must be that of a reference sorted
+   on (time, seq).  An op is a pop, or a schedule at [now + delta]
+   ([delta < 0] exercises the clamp to [now]). *)
+let calendar_ops_gen =
+  QCheck2.Gen.(
+    pair (int_range 2 4)
+      (list_size (int_bound 400)
+         (oneof [ return None; map Option.some (int_range (-2) 40) ])))
+
+let calendar_matches_reference (wheel_bits, ops) =
+  let cal = M.Calendar.create ~wheel_bits () in
+  (* reference: pending (time, seq) pairs and the last popped time *)
+  let pending = ref [] and now = ref 0 and seq = ref 0 in
+  let got = ref [] and want = ref [] in
+  let pop () =
+    (match List.sort compare !pending with
+     | (at, s) :: rest ->
+       pending := rest;
+       now := at;
+       want := (at, s) :: !want
+     | [] -> ());
+    if M.Calendar.pop cal then got := (M.Calendar.now cal, M.Calendar.ev_a cal) :: !got
+  in
+  List.iter
+    (function
+      | None -> pop ()
+      | Some delta ->
+        incr seq;
+        let at = !now + delta in
+        M.Calendar.schedule cal ~at ~kind:0 ~a:!seq ~b:0 ~c:0 ~d:0;
+        pending := (max at !now, !seq) :: !pending)
+    ops;
+  while !pending <> [] do
+    pop ()
+  done;
+  (not (M.Calendar.pop cal)) && M.Calendar.pending cal = 0 && !got = !want
+
+let prop_calendar_reference =
+  QCheck2.Test.make ~name:"calendar ≡ (time, seq)-sorted reference, wheel_bits 2–4" ~count:300
+    calendar_ops_gen calendar_matches_reference
+
+(* A fixed load of [per_tick] events a tick, each popped event
+   rescheduled three ticks on, drained for [ticks] ticks: the storage
+   the calendar retains must not depend on how many ticks ran. *)
+let retained_after ~ticks =
+  let per_tick = 50 in
+  let cal = M.Calendar.create () in
+  for at = 1 to 3 do
+    for a = 1 to per_tick do
+      M.Calendar.schedule cal ~at ~kind:0 ~a ~b:0 ~c:0 ~d:0
+    done
+  done;
+  for _ = 1 to ticks * per_tick do
+    assert (M.Calendar.pop cal);
+    M.Calendar.schedule cal
+      ~at:(M.Calendar.now cal + 3)
+      ~kind:0 ~a:(M.Calendar.ev_a cal) ~b:0 ~c:0 ~d:0
+  done;
+  M.Calendar.retained_words cal
+
+let calendar_retention () =
+  Alcotest.(check int)
+    "same retained words after 50 and 500 ticks" (retained_after ~ticks:50)
+    (retained_after ~ticks:500)
+
 (* {2 Congruence differential: mega ≡ Scheduler at small n} *)
 
 let kinds_for n =
@@ -183,6 +250,42 @@ let engine_join_interning () =
     "universe grew by the joins" (100 + r.M.Engine.joins)
     r.M.Engine.final_count
 
+(* Pinned summaries: the calendar's bucket reuse, the per-process
+   index of open false suspicions and the dense-id layout of [Univ]
+   are bookkeeping, and must leave every draw of a run where it is. *)
+let engine_pinned () =
+  let summary c = M.Engine.deterministic_summary (M.Engine.run c) in
+  (* a scaled-down long churn run: hundreds of crashes against tens of
+     thousands of false suspicions *)
+  Alcotest.(check string)
+    "vcube / ring, many crashes and false suspicions"
+    "vcube n0=2000 ev=160000 vt=76 live=1838/2103 churn=235/45/103/75 links=72/60 part=26/25 \
+     msg=160547/669 det=64 lat=26/34/36 fs=31329 dur=1/2/2 mon=sat"
+    (summary
+       (M.Engine.cfg ~procs:2000 ~events:160_000 ~churn_rate:5.0 ~topology:(M.Topology.Ring 2)
+          ~detector:"vcube" ~seed:3 ()));
+  Alcotest.(check string)
+    "hb-pc / ring, with joins"
+    "hb-pc n0=300 ev=40000 vt=300 live=130/439 churn=343/153/139/119 links=120/110 part=28/27 \
+     msg=32510/745 det=370 lat=20/38/42 fs=113 dur=3/24/29 mon=sat"
+    (summary
+       (M.Engine.cfg ~procs:300 ~events:40_000 ~churn_rate:30.0 ~topology:(M.Topology.Ring 2)
+          ~detector:"hb-pc" ~seed:21 ()))
+
+(* {2 Universe} *)
+
+let univ_join () =
+  let u = M.Univ.create ~cap:5 ~n:3 in
+  Alcotest.(check (option int)) "initial ext is present" None (M.Univ.join u ~ext:2);
+  Alcotest.(check (option int)) "initial ext 0 is present" None (M.Univ.join u ~ext:0);
+  Alcotest.(check (option int)) "fresh joiner" (Some 3) (M.Univ.join u ~ext:77);
+  Alcotest.(check (option int)) "repeated joiner" None (M.Univ.join u ~ext:77);
+  Alcotest.(check (option int)) "second joiner" (Some 4) (M.Univ.join u ~ext:5);
+  Alcotest.(check (option int)) "at capacity" None (M.Univ.join u ~ext:99);
+  Alcotest.(check int) "count" 5 (M.Univ.count u);
+  Alcotest.(check int) "live" 5 (M.Univ.live_count u);
+  Alcotest.(check (list int)) "external ids" [ 0; 1; 2; 77; 5 ] (List.init 5 (M.Univ.ext_id u))
+
 (* {2 Sampled monitor} *)
 
 let sample_clean () =
@@ -223,6 +326,9 @@ let suite =
   [ Alcotest.test_case "calendar: same-time FIFO" `Quick calendar_fifo;
     Alcotest.test_case "calendar: wheel horizon and heap" `Quick calendar_horizon;
     Alcotest.test_case "calendar: clamped immediate events" `Quick calendar_immediate;
+    QCheck_alcotest.to_alcotest prop_calendar_reference;
+    Alcotest.test_case "calendar: retention independent of elapsed ticks" `Quick
+      calendar_retention;
     QCheck_alcotest.to_alcotest prop_differential;
     Alcotest.test_case "differential: pinned corners" `Quick differential_pinned;
     Alcotest.test_case "engine: deterministic at fixed seed" `Quick engine_deterministic;
@@ -232,6 +338,8 @@ let suite =
       (engine_detects "vcube" M.Topology.Hypercube);
     Alcotest.test_case "engine: churnless run is clean" `Quick engine_churnless;
     Alcotest.test_case "engine: joiners are interned and adopted" `Quick engine_join_interning;
+    Alcotest.test_case "engine: summaries pinned (vcube churn, hb-pc joins)" `Quick engine_pinned;
+    Alcotest.test_case "univ: join rejects present ids and full capacity" `Quick univ_join;
     Alcotest.test_case "sample: crash + suspicion is Sat" `Quick sample_clean;
     Alcotest.test_case "sample: self pairs filtered" `Quick sample_self_suspicion_violates;
     Alcotest.test_case "sample: window eviction keeps exactness" `Quick sample_window_eviction;
